@@ -6,7 +6,7 @@
 //! stay silent. What a reuse chain cannot fake is *legal control flow* —
 //! so, following ROPocop's statically derived invariants:
 //!
-//! * [`CfiModel::build`] fuses the recovered CFG, the VSA-resolved
+//! * [`CfiModel::from_cfg`] fuses the recovered CFG, the VSA-resolved
 //!   indirect target sets, and the call graph of one image into three
 //!   claims: each **resolved indirect site** may only reach its resolved
 //!   target set; each **unresolved indirect site** (no VSA claim) may
@@ -26,8 +26,7 @@
 //! check raises zero violations, while each ROP/JOP sample trips it.
 
 use crate::cfg::ModuleCfg;
-use crate::coverage::basename;
-use crate::dataflow;
+use crate::analysis::{ImageAnalysis, JobAnalysis};
 use faros_emu::isa::Instr;
 use faros_emu::mmu::KERNEL_BASE;
 use faros_kernel::module::FdlImage;
@@ -56,15 +55,8 @@ pub struct CfiModel {
 }
 
 impl CfiModel {
-    /// Builds the model for `image`, running the full dataflow pipeline
-    /// (CFG recovery + VSA resolution fixpoint) internally.
-    pub fn build(name: &str, image: &FdlImage) -> CfiModel {
-        let analysis = dataflow::analyze_image(name, image);
-        CfiModel::from_cfg(name, image, &analysis.cfg)
-    }
-
-    /// Builds the model from an already-analyzed CFG (with resolved
-    /// targets spliced in), avoiding a second dataflow run.
+    /// Builds the model from an analyzed CFG (with resolved targets
+    /// spliced in by [`crate::dataflow::analyze_image`]).
     pub fn from_cfg(name: &str, image: &FdlImage, cfg: &ModuleCfg) -> CfiModel {
         let indirect_targets: BTreeMap<u32, BTreeSet<u32>> = cfg
             .resolved_targets
@@ -332,7 +324,9 @@ impl FromJson for CfiCheckReport {
 }
 
 /// Checks every observed indirect transfer against the CFI models of the
-/// images the process loaded.
+/// images the process loaded, analyzing `images` first. Pipelines that run
+/// more than one check build the [`JobAnalysis`] once and call
+/// [`check_analyzed`].
 ///
 /// `tainted_sites` carries the taint-fusion bit: `(process name, site VA)`
 /// pairs whose transfer target was read from netflow-tainted data during
@@ -343,40 +337,38 @@ pub fn check(
     images: &BTreeMap<String, FdlImage>,
     tainted_sites: &BTreeSet<(String, u32)>,
 ) -> CfiCheckReport {
-    let mut stats = CfiStats::default();
+    check_analyzed(observed, &JobAnalysis::build(images), tainted_sites)
+}
+
+/// [`check`] over an already-built [`JobAnalysis`].
+pub fn check_analyzed(
+    observed: &[ProcessTransfers],
+    analysis: &JobAnalysis<'_>,
+    tainted_sites: &BTreeSet<(String, u32)>,
+) -> CfiCheckReport {
     // Models are per image, shared across processes.
-    let mut models: BTreeMap<&str, CfiModel> = BTreeMap::new();
-    for (name, image) in images {
-        models.insert(name.as_str(), CfiModel::build(name, image));
-        stats.models_built += 1;
-    }
+    let mut stats = CfiStats { models_built: analysis.len() as u64, ..CfiStats::default() };
 
     let mut violations: Vec<CfiViolation> = Vec::new();
     for proc in observed {
-        let loaded: Vec<(&FdlImage, &CfiModel)> = proc
-            .modules
-            .iter()
-            .filter_map(|m| {
-                let key = basename(&m.name);
-                Some((images.get(key)?, models.get(key)?))
-            })
-            .collect();
+        let loaded: Vec<&ImageAnalysis<'_>> =
+            proc.modules.iter().filter_map(|m| analysis.module(m)).collect();
         // A cross-module call may return into the caller's image: returns
         // and weak indirect claims are checked against the union over
         // every loaded module.
         let return_sites: BTreeSet<u32> =
-            loaded.iter().flat_map(|(_, m)| m.return_sites.iter().copied()).collect();
+            loaded.iter().flat_map(|a| a.cfi.return_sites.iter().copied()).collect();
         let function_entries: BTreeSet<u32> =
-            loaded.iter().flat_map(|(_, m)| m.function_entries.iter().copied()).collect();
+            loaded.iter().flat_map(|a| a.cfi.function_entries.iter().copied()).collect();
         let in_modeled_code =
-            |va: u32| va < KERNEL_BASE && loaded.iter().any(|(img, _)| img.is_code_va(va));
+            |va: u32| va < KERNEL_BASE && loaded.iter().any(|a| a.image.is_code_va(va));
 
         for (&site, ts) in &proc.sites {
             stats.sites_observed += 1;
             let owner = (site < KERNEL_BASE)
-                .then(|| loaded.iter().find(|(img, _)| img.is_code_va(site)))
+                .then(|| loaded.iter().find(|a| a.image.is_code_va(site)))
                 .flatten();
-            let Some((_, model)) = owner else {
+            let Some(model) = owner.map(|a| &a.cfi) else {
                 // Kernel sites and sites outside every modeled image (JIT
                 // buffers, injected code) carry no static claim; the
                 // coverage diff owns the latter signal.
@@ -519,6 +511,10 @@ mod tests {
         }
     }
 
+    fn model_of(image: &FdlImage) -> CfiModel {
+        ImageAnalysis::build("app.exe", image).cfi
+    }
+
     fn site(kind: TransferKind, targets: &[u32]) -> TransferSite {
         TransferSite { kind, targets: targets.iter().copied().collect() }
     }
@@ -526,7 +522,7 @@ mod tests {
     #[test]
     fn model_derives_claims_from_the_cfg() {
         let image = demo_image();
-        let model = CfiModel::build("app.exe", &image);
+        let model = model_of(&image);
         let helper = labels()["helper"];
         // Two call sites (direct + resolved indirect) → two return sites.
         assert_eq!(model.return_sites.len(), 2);
@@ -541,7 +537,7 @@ mod tests {
     #[test]
     fn legal_transfers_raise_no_violation() {
         let image = demo_image();
-        let model = CfiModel::build("app.exe", &image);
+        let model = model_of(&image);
         let helper = labels()["helper"];
         let call_site = *model.indirect_targets.keys().next().unwrap();
         let ret_target = *model.return_sites.iter().next().unwrap();
@@ -575,7 +571,7 @@ mod tests {
     #[test]
     fn resolved_site_escaping_its_target_set_is_flagged_and_taint_fuses() {
         let image = demo_image();
-        let model = CfiModel::build("app.exe", &image);
+        let model = model_of(&image);
         let call_site = *model.indirect_targets.keys().next().unwrap();
         let images = crate::image_map([("C:/app.exe", image)]);
         // The indirect call reaches a mid-instruction address instead of
@@ -594,7 +590,7 @@ mod tests {
     #[test]
     fn transfers_leaving_modeled_code_carry_no_claim() {
         let image = demo_image();
-        let model = CfiModel::build("app.exe", &image);
+        let model = model_of(&image);
         let call_site = *model.indirect_targets.keys().next().unwrap();
         let images = crate::image_map([("C:/app.exe", image)]);
         let observed = vec![proc_with(vec![

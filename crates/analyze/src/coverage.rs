@@ -18,7 +18,7 @@
 //!   whole benign corpus (JIT applets excepted, by design) executes only
 //!   image-backed code.
 
-use crate::cfg::ModuleCfg;
+use crate::analysis::{ImageAnalysis, JobAnalysis};
 use faros_emu::mmu::KERNEL_BASE;
 use faros_kernel::module::FdlImage;
 use faros_kernel::Pid;
@@ -119,24 +119,19 @@ pub fn image_map<S: AsRef<str>>(
 }
 
 /// Diffs replay-observed block starts against the static models of each
-/// process's loaded modules.
+/// process's loaded modules, analyzing `images` first. Pipelines that run
+/// more than one check build the [`JobAnalysis`] once and call
+/// [`diff_analyzed`].
 pub fn diff(observed: &[ProcessBlocks], images: &BTreeMap<String, FdlImage>) -> CoverageReport {
-    // Static models are per image, shared across processes.
-    let mut cfgs: BTreeMap<&str, ModuleCfg> = BTreeMap::new();
-    for (name, image) in images {
-        cfgs.insert(name.as_str(), ModuleCfg::recover(name, image));
-    }
+    diff_analyzed(observed, &JobAnalysis::build(images))
+}
 
+/// [`diff`] over an already-built [`JobAnalysis`].
+pub fn diff_analyzed(observed: &[ProcessBlocks], analysis: &JobAnalysis<'_>) -> CoverageReport {
     let mut processes = Vec::new();
     for proc in observed {
-        let loaded: Vec<(&FdlImage, &ModuleCfg)> = proc
-            .modules
-            .iter()
-            .filter_map(|m| {
-                let key = basename(&m.name);
-                Some((images.get(key)?, cfgs.get(key)?))
-            })
-            .collect();
+        let loaded: Vec<&ImageAnalysis<'_>> =
+            proc.modules.iter().filter_map(|m| analysis.module(m)).collect();
         let mut cov = ProcessCoverage {
             pid: proc.pid,
             process: proc.name.clone(),
@@ -149,10 +144,11 @@ pub fn diff(observed: &[ProcessBlocks], images: &BTreeMap<String, FdlImage>) -> 
         for &va in &proc.block_starts {
             if va >= KERNEL_BASE {
                 cov.kernel += 1;
-            } else if let Some((_, cfg)) =
-                loaded.iter().find(|(image, _)| image.is_code_va(va))
-            {
-                if cfg.accounts_for(va) {
+            } else if let Some(a) = loaded.iter().find(|a| a.image.is_code_va(va)) {
+                // Splicing resolved edges only splits blocks at existing
+                // instruction starts, so the spliced CFG charts exactly
+                // what the recovered one does.
+                if a.dataflow.cfg.accounts_for(va) {
                     cov.accounted += 1;
                 } else {
                     cov.uncharted.push(va);

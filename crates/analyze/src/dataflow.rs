@@ -16,7 +16,7 @@
 //!    [`ImageFlowMap`]: the source→sink flows the image can exhibit *per
 //!    the model*, plus the set of instructions tainted data can reach.
 //!
-//! [`taint_cross_check`] is the dynamic half, mirroring the coverage
+//! [`taint_cross_check_analyzed`] is the dynamic half, mirroring the coverage
 //! cross-check: each dynamic taint alert is classified *statically
 //! explainable* (the static model predicts tainted data at that
 //! instruction) or *statically impossible-per-model* (it does not — which
@@ -31,7 +31,9 @@
 //! an alert is only called *impossible* when even the coarse model cannot
 //! produce tainted data at its address.
 
+use crate::analysis::JobAnalysis;
 use crate::cfg::ModuleCfg;
+use crate::coverage::basename;
 use crate::vsa::{self, AVal, FunctionVsa, State};
 use faros_emu::isa::{AluOp, Instr, Mem, Operand, Reg, Width, NUM_REGS};
 use faros_emu::mmu::{Perms, KERNEL_BASE};
@@ -226,13 +228,6 @@ pub struct ImageFlowMap {
     pub taint_reachable: BTreeSet<u32>,
 }
 
-impl ImageFlowMap {
-    /// Flows ending at a given sink kind.
-    pub fn flows_into(&self, sink: SinkKind) -> impl Iterator<Item = &StaticFlow> {
-        self.flows.iter().filter(move |f| f.sink == sink)
-    }
-}
-
 impl ToJson for ImageFlowMap {
     fn to_json_value(&self) -> JsonValue {
         let sources: Vec<JsonValue> = self
@@ -409,6 +404,11 @@ pub struct ImageDataflow {
     pub call_graph: BTreeMap<u32, BTreeSet<u32>>,
     /// Externally reachable function entries (image entry + code exports).
     pub roots: BTreeSet<u32>,
+    /// Function entries of the CFG as recovered, before any resolved
+    /// indirect edge was spliced in: image entry, code exports, and direct
+    /// call targets (the resolution fixpoint's first round). The
+    /// profiler's symbolizer names these.
+    pub recovered_function_entries: BTreeSet<u32>,
     /// Cost/outcome counters.
     pub stats: DataflowStats,
 }
@@ -439,10 +439,11 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
     let mut stats = DataflowStats::default();
     let mut resolved: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     let mut vsas: BTreeMap<u32, FunctionVsa> = BTreeMap::new();
+    let recovered_function_entries = function_entries(&cfg, image);
 
     // Resolution fixpoint: analyze, resolve, splice, repeat.
+    let mut entries = recovered_function_entries.clone();
     loop {
-        let entries = function_entries(&cfg, image);
         vsas.clear();
         for &e in &entries {
             let f = vsa::analyze_function(image, &cfg, e, &resolved);
@@ -473,6 +474,7 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
         }
         cfg.splice_resolved(&newly);
         resolved.extend(newly);
+        entries = function_entries(&cfg, image);
     }
 
     for site in &cfg.indirect_sites {
@@ -518,7 +520,15 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
     }
 
     let flows = taint_phases(name, image, &cfg, &vsas, &call_graph, &resolved, &mut stats);
-    ImageDataflow { cfg, flows, syscall_sites, call_graph, roots, stats }
+    ImageDataflow {
+        cfg,
+        flows,
+        syscall_sites,
+        call_graph,
+        roots,
+        recovered_function_entries,
+        stats,
+    }
 }
 
 /// Direct and resolved-indirect callees of the function `f`, derived from
@@ -1118,35 +1128,30 @@ impl FromJson for TaintCrossCheck {
     }
 }
 
-pub(crate) fn basename(path: &str) -> &str {
-    path.rsplit(['/', '\\']).next().unwrap_or(path)
-}
-
 /// Classifies dynamic taint alerts against the static flow model of every
 /// loaded module, and reports statically feasible flows no replay
-/// exercised. `images` is keyed by basename, as for [`crate::coverage::diff`].
-pub fn taint_cross_check(
-    alerts: &[DynamicAlert],
-    observed: &[ProcessBlocks],
-    images: &BTreeMap<String, FdlImage>,
-) -> TaintCrossCheck {
-    taint_cross_check_with_stats(alerts, observed, images).0
-}
-
-/// [`taint_cross_check`], also returning the merged [`DataflowStats`] of
-/// every per-image analysis (for `analyze.*` metrics emission).
+/// exercised, analyzing `images` first (keyed by basename, as for
+/// [`crate::coverage::diff`]). Also returns the merged [`DataflowStats`]
+/// of every per-image analysis (for `analyze.*` metrics emission).
+/// Pipelines that run more than one check build the [`JobAnalysis`] once
+/// and call [`taint_cross_check_analyzed`].
 pub fn taint_cross_check_with_stats(
     alerts: &[DynamicAlert],
     observed: &[ProcessBlocks],
     images: &BTreeMap<String, FdlImage>,
 ) -> (TaintCrossCheck, DataflowStats) {
-    let analyses: BTreeMap<&str, ImageDataflow> = images
-        .iter()
-        .map(|(name, image)| (name.as_str(), analyze_image(name, image)))
-        .collect();
+    taint_cross_check_analyzed(alerts, observed, &JobAnalysis::build(images))
+}
+
+/// [`taint_cross_check_with_stats`] over an already-built [`JobAnalysis`].
+pub fn taint_cross_check_analyzed(
+    alerts: &[DynamicAlert],
+    observed: &[ProcessBlocks],
+    analysis: &JobAnalysis<'_>,
+) -> (TaintCrossCheck, DataflowStats) {
     let mut stats = DataflowStats::default();
-    for a in analyses.values() {
-        stats.merge(&a.stats);
+    for (_, a) in analysis.iter() {
+        stats.merge(&a.dataflow.stats);
     }
 
     let mut rows: BTreeMap<&str, ProcessTaintCheck> = BTreeMap::new();
@@ -1163,14 +1168,13 @@ pub fn taint_cross_check_with_stats(
         let proc = observed.iter().find(|p| p.name == alert.process);
         let module = proc.and_then(|p| {
             p.modules.iter().find_map(|m| {
-                let key = basename(&m.name);
-                let image = images.get(key)?;
-                image.section_containing(alert.va).map(|_| key)
+                let a = analysis.module(m)?;
+                a.image.section_containing(alert.va).map(|_| a)
             })
         });
         match module {
             // In a module, at an instruction the modeled flows reach.
-            Some(key) if analyses[key].flows.taint_reachable.contains(&alert.va) => {
+            Some(a) if a.dataflow.flows.taint_reachable.contains(&alert.va) => {
                 row.explainable.push(alert.va)
             }
             // In a module but no modeled flow reaches it, or in no loaded
@@ -1182,16 +1186,17 @@ pub fn taint_cross_check_with_stats(
     // Residual surface: a flow is exercised if any process that loaded the
     // module executed the block containing its sink.
     let mut residual = Vec::new();
-    for (key, analysis) in &analyses {
+    for (key, a) in analysis.iter() {
         let loaders: Vec<&ProcessBlocks> = observed
             .iter()
-            .filter(|p| p.modules.iter().any(|m| basename(&m.name) == *key))
+            .filter(|p| p.modules.iter().any(|m| basename(&m.name) == key))
             .collect();
         if loaders.is_empty() {
             continue;
         }
-        for flow in &analysis.flows.flows {
-            let block_start = analysis
+        for flow in &a.dataflow.flows.flows {
+            let block_start = a
+                .dataflow
                 .cfg
                 .blocks
                 .range(..=flow.sink_va)
@@ -1374,7 +1379,7 @@ mod tests {
         let alerts = vec![
             DynamicAlert { process: "prog.exe".into(), va: 0x0100_2000 }, // payload memory
         ];
-        let check = taint_cross_check(&alerts, &observed, &images);
+        let check = taint_cross_check_with_stats(&alerts, &observed, &images).0;
         assert!(check.injection_suspected());
         assert_eq!(check.impossible_total(), 1);
         assert_eq!(check.explainable_total(), 0);
@@ -1403,7 +1408,7 @@ mod tests {
             block_starts: BTreeSet::new(),
             indirect_targets: BTreeMap::new(),
         }];
-        let check = taint_cross_check(&[], &observed, &images);
+        let check = taint_cross_check_with_stats(&[], &observed, &images).0;
         assert!(!check.injection_suspected());
         assert!(
             check.residual.iter().any(|r| r.flow.sink == SinkKind::Net),

@@ -38,10 +38,15 @@
 //!   [`faros_replay::BlockCoverage`]) against the union of static models
 //!   of every loaded module, so *dynamically executed but statically
 //!   unaccounted code* becomes an independent injection signal.
+//! * [`analysis`] — [`JobAnalysis`], the per-job bundle of every image's
+//!   dataflow result, CFI model and capability report, built once per
+//!   image and borrowed by all four cross-checks and the profiler's
+//!   symbolizer ([`symbols`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod analysis;
 pub mod cfg;
 pub mod cfi;
 pub mod coverage;
@@ -53,20 +58,21 @@ pub mod symbols;
 pub mod syscap;
 pub mod vsa;
 
+pub use analysis::JobAnalysis;
 pub use cfg::{BasicBlock, ModuleCfg};
 pub use cfi::{CfiCheckReport, CfiModel, CfiStats, CfiViolation};
-pub use coverage::{diff, image_map, CoverageReport, ProcessCoverage};
+pub use coverage::{diff, diff_analyzed, image_map, CoverageReport, ProcessCoverage};
 pub use gadgets::{GadgetReport, GadgetStats, SectionGadgets};
 pub use dataflow::{
-    analyze_image, taint_cross_check, taint_cross_check_with_stats, DataflowStats, DynamicAlert,
-    ImageDataflow, ImageFlowMap, ProcessTaintCheck, ResidualFlow, SinkKind, SourceKind,
-    StaticFlow, TaintCrossCheck,
+    analyze_image, taint_cross_check_analyzed, taint_cross_check_with_stats, DataflowStats,
+    DynamicAlert, ImageDataflow, ImageFlowMap, ProcessTaintCheck, ResidualFlow, SinkKind,
+    SourceKind, StaticFlow, TaintCrossCheck,
 };
 pub use lint::{lint_image, render_findings, Finding, FindingKind, Severity};
 pub use report::StaticReport;
-pub use symbols::{layout_map, layouts_for, module_layout, module_layout_from_cfg};
+pub use symbols::{layout_map, layouts_for};
 pub use syscap::{
-    ambient_caps, analyze_image_caps, capability_cross_check, capability_cross_check_with_stats,
+    ambient_caps, capability_cross_check_analyzed, capability_cross_check_with_stats,
     caps_of_syscall, render_capability_check, CapWitness, CapabilityCrossCheck, CapabilityReport,
     ProcessCapCheck, Recipe, RecipeHit, ResidualRecipe, SyscapStats, RECIPES,
 };

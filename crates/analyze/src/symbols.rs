@@ -3,32 +3,32 @@
 //!
 //! The profiler attributes retired instructions to basic-block start VAs;
 //! this module turns a static image into an [`faros_obs::prof::ModuleLayout`]
-//! so those VAs can be rolled up to named functions. Function entries come
-//! from the CFI model (image entry point, code exports, direct call
-//! targets, resolved indirect targets); names come from the export table,
+//! so those VAs can be rolled up to named functions. Function entries are
+//! those of the recovered CFG before indirect-branch resolution (image
+//! entry point, code exports, direct call targets), which the job's shared
+//! [`JobAnalysis`] already holds; names come from the export table,
 //! with a `sub_<va>` synthesized for entries no export names. Everything
 //! here is a pure function of the image bytes, so symbolization never
 //! perturbs the profiler's replay-identical output.
 
-use crate::cfg::ModuleCfg;
-use crate::cfi::CfiModel;
+use crate::analysis::{ImageAnalysis, JobAnalysis};
 use crate::coverage::basename;
-use faros_kernel::module::{FdlImage, ModuleInfo};
+use faros_kernel::module::ModuleInfo;
 use faros_obs::prof::ModuleLayout;
 use std::collections::BTreeMap;
 
-/// Builds the [`ModuleLayout`] of one image from an already-recovered CFG,
-/// avoiding a second dataflow run when the caller has one in hand.
-pub fn module_layout_from_cfg(name: &str, image: &FdlImage, cfg: &ModuleCfg) -> ModuleLayout {
-    let model = CfiModel::from_cfg(name, image, cfg);
-    let mut functions: BTreeMap<u32, String> = model
-        .function_entries
+/// Builds the [`ModuleLayout`] of one analyzed image.
+fn module_layout(name: &str, a: &ImageAnalysis<'_>) -> ModuleLayout {
+    let image = a.image;
+    let mut functions: BTreeMap<u32, String> = a
+        .dataflow
+        .recovered_function_entries
         .iter()
         .map(|&va| (va, format!("sub_{va:08x}")))
         .collect();
     for e in &image.exports {
-        // Exports name entries the CFI model already proved are code; an
-        // export pointing at data stays out of the table.
+        // Exports name entries the CFG already proved are code; an export
+        // pointing at data stays out of the table.
         if let Some(slot) = functions.get_mut(&e.va) {
             *slot = e.name.clone();
         }
@@ -38,17 +38,11 @@ pub fn module_layout_from_cfg(name: &str, image: &FdlImage, cfg: &ModuleCfg) -> 
     ModuleLayout { name: name.to_string(), base, limit, functions }
 }
 
-/// Recovers the function table of one image, running CFG recovery
-/// internally. The profiler's per-module symbolization entry point.
-pub fn module_layout(name: &str, image: &FdlImage) -> ModuleLayout {
-    module_layout_from_cfg(name, image, &ModuleCfg::recover(name, image))
-}
-
-/// Builds the function-table layout of every image in an
-/// [`crate::image_map`]-style map (keys are basenames), one static model
-/// per image regardless of how many processes load it.
-pub fn layout_map(images: &BTreeMap<String, FdlImage>) -> BTreeMap<String, ModuleLayout> {
-    images.iter().map(|(name, image)| (name.clone(), module_layout(name, image))).collect()
+/// Builds the function-table layout of every image a [`JobAnalysis`]
+/// covers (keys are basenames), one per image regardless of how many
+/// processes load it.
+pub fn layout_map(analysis: &JobAnalysis<'_>) -> BTreeMap<String, ModuleLayout> {
+    analysis.iter().map(|(name, a)| (name.to_string(), module_layout(name, a))).collect()
 }
 
 /// Selects the layouts of a process's loaded modules, matched by basename
@@ -66,7 +60,7 @@ mod tests {
     use super::*;
     use faros_emu::asm::Asm;
     use faros_emu::mmu::Perms;
-    use faros_kernel::module::{Export, Section};
+    use faros_kernel::module::{Export, FdlImage, Section};
 
     const BASE: u32 = 0x40_0000;
 
@@ -91,7 +85,9 @@ mod tests {
     #[test]
     fn layout_spans_the_image_and_names_exports() {
         let (image, helper_va) = image_with_export();
-        let layout = module_layout("app.exe", &image);
+        let images = crate::image_map([("C:/app.exe", image)]);
+        let layouts = layout_map(&JobAnalysis::build(&images));
+        let layout = &layouts["app.exe"];
         assert_eq!(layout.name, "app.exe");
         assert_eq!(layout.base, BASE);
         assert!(layout.limit > BASE);

@@ -30,9 +30,9 @@
 //! VAs across the reachable sites — exact for the straight-line loaders
 //! the corpus ships, conservative in general.
 //!
-//! [`capability_cross_check`] is the dynamic half, mirroring the taint
-//! cross-check: each capability a process *concretely exercised* (recorded
-//! by `faros-replay`'s `CapabilityMonitor`) is classified statically
+//! [`capability_cross_check_analyzed`] is the dynamic half, mirroring the
+//! taint cross-check: each capability a process *concretely exercised*
+//! (recorded by `faros-replay`'s `CapabilityMonitor`) is classified statically
 //! *modeled* or **statically impossible-per-model** — the new alert class:
 //! a process exercising an injection capability its own loaded images
 //! cannot justify is running injected or laundered code. Because the
@@ -45,8 +45,10 @@
 //! Statically present recipes no replay ever exercised are reported as
 //! *residual capability surface*.
 
+use crate::analysis::JobAnalysis;
 use crate::cfg::ModuleCfg;
-use crate::dataflow::{basename, ImageDataflow};
+use crate::coverage::basename;
+use crate::dataflow::ImageDataflow;
 use crate::lint::{Finding, FindingKind, Severity};
 use crate::vsa::AVal;
 use faros_emu::isa::Instr;
@@ -584,12 +586,6 @@ pub fn capability_report(df: &ImageDataflow) -> CapabilityReport {
     report
 }
 
-/// [`capability_report`] straight from an image (runs the dataflow
-/// analysis internally).
-pub fn analyze_image_caps(name: &str, image: &FdlImage) -> CapabilityReport {
-    capability_report(&crate::dataflow::analyze_image(name, image))
-}
-
 /// The `syscall-number-unresolved` advisory findings of one analyzed
 /// image: reachable `int` sites whose service number is not a VSA
 /// constant — sites every syscall-indexed static view (taint sources,
@@ -843,27 +839,27 @@ impl FromJson for SyscapStats {
 
 /// Classifies the capabilities each process concretely exercised against
 /// the static capability model of every loaded module, and reports
-/// statically present recipes no replay exercised. `images` is keyed by
-/// basename, as for [`crate::dataflow::taint_cross_check`].
-pub fn capability_cross_check(
-    observed: &[ProcessCapabilities],
-    images: &BTreeMap<String, FdlImage>,
-) -> CapabilityCrossCheck {
-    capability_cross_check_with_stats(observed, images).0
-}
-
-/// [`capability_cross_check`], also returning the merged [`SyscapStats`]
-/// (for `syscap.*` metrics emission).
+/// statically present recipes no replay exercised, analyzing `images`
+/// first (keyed by basename, as for [`crate::coverage::diff`]). Also
+/// returns the merged [`SyscapStats`] (for `syscap.*` metrics emission).
+/// Pipelines that run more than one check build the [`JobAnalysis`] once
+/// and call [`capability_cross_check_analyzed`].
 pub fn capability_cross_check_with_stats(
     observed: &[ProcessCapabilities],
     images: &BTreeMap<String, FdlImage>,
 ) -> (CapabilityCrossCheck, SyscapStats) {
+    capability_cross_check_analyzed(observed, &JobAnalysis::build(images))
+}
+
+/// [`capability_cross_check_with_stats`] over an already-built
+/// [`JobAnalysis`].
+pub fn capability_cross_check_analyzed(
+    observed: &[ProcessCapabilities],
+    analysis: &JobAnalysis<'_>,
+) -> (CapabilityCrossCheck, SyscapStats) {
     let mut stats = SyscapStats::default();
-    let reports: BTreeMap<&str, CapabilityReport> = images
-        .iter()
-        .map(|(name, image)| (name.as_str(), analyze_image_caps(name, image)))
-        .collect();
-    for r in reports.values() {
+    for (_, a) in analysis.iter() {
+        let r = &a.capabilities;
         stats.images_analyzed += 1;
         stats.sites_lifted += r.witnesses.len() as u64;
         stats.sites_unresolved += r.unresolved_sites.len() as u64;
@@ -881,7 +877,7 @@ pub fn capability_cross_check_with_stats(
         let mut escape = p.modules.is_empty();
         let mut any_model = false;
         for m in &p.modules {
-            match reports.get(basename(&m.name)) {
+            match analysis.module(m).map(|a| &a.capabilities) {
                 Some(r) => {
                     any_model = true;
                     modeled = modeled.union(r.caps);
@@ -919,15 +915,15 @@ pub fn capability_cross_check_with_stats(
     // Residual surface: a static recipe is exercised if any process that
     // loaded the module completed it dynamically.
     let mut residual = Vec::new();
-    for (key, report) in &reports {
+    for (key, a) in analysis.iter() {
         let loaders: Vec<&ProcessCapabilities> = observed
             .iter()
-            .filter(|p| p.modules.iter().any(|m| basename(&m.name) == *key))
+            .filter(|p| p.modules.iter().any(|m| basename(&m.name) == key))
             .collect();
         if loaders.is_empty() {
             continue;
         }
-        for hit in &report.recipes {
+        for hit in &a.capabilities.recipes {
             let Some(recipe) = recipe_by_name(&hit.recipe) else { continue };
             let exercised = loaders.iter().any(|p| p.exercised_in_order(recipe.steps));
             if !exercised {
@@ -940,8 +936,12 @@ pub fn capability_cross_check_with_stats(
     }
     stats.recipes_residual += residual.len() as u64;
 
-    let reports: Vec<CapabilityReport> =
-        reports.into_values().filter(|r| !r.is_empty()).collect();
+    let reports: Vec<CapabilityReport> = analysis
+        .iter()
+        .map(|(_, a)| &a.capabilities)
+        .filter(|r| !r.is_empty())
+        .cloned()
+        .collect();
     (CapabilityCrossCheck { reports, processes, residual }, stats)
 }
 
@@ -976,6 +976,7 @@ pub fn render_capability_check(check: &CapabilityCrossCheck) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::analyze_image;
     use faros_emu::asm::Asm;
     use faros_emu::isa::{Mem as M, Reg};
     use faros_emu::mmu::Perms;
@@ -1044,7 +1045,7 @@ mod tests {
 
     #[test]
     fn injector_image_reports_the_remote_recipe_with_witnesses() {
-        let r = analyze_image_caps("inj.exe", &injector_image());
+        let r = capability_report(&analyze_image("inj.exe", &injector_image()));
         assert!(r.caps.contains(Capability::AllocExecRemote), "{r:?}");
         assert!(r.caps.contains(Capability::WriteRemote));
         assert!(r.caps.contains(Capability::CreateRemoteThread));
@@ -1083,7 +1084,7 @@ mod tests {
         asm.mov_ri(Reg::Edx, 0b111);
         sys(&mut asm, Sysno::NtAllocateVirtualMemory);
         asm.ret();
-        let r = analyze_image_caps("t", &image_of(asm));
+        let r = capability_report(&analyze_image("t", &image_of(asm)));
         let w = r
             .witnesses
             .iter()
@@ -1103,7 +1104,7 @@ mod tests {
         asm.mov_ri(Reg::Ebx, CURRENT_PROCESS);
         sys(&mut asm, Sysno::NtWriteVirtualMemory);
         asm.hlt();
-        let r = analyze_image_caps("t", &image_of(asm));
+        let r = capability_report(&analyze_image("t", &image_of(asm)));
         assert!(r.caps.is_empty(), "{:?}", r.caps);
         assert!(r.recipes.is_empty());
     }
@@ -1205,7 +1206,7 @@ mod tests {
                 (Sysno::NtCreateThreadEx, [7, 0x0100_0000, 0, 0, 0]),
             ],
         );
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check_with_stats(&[p], &images).0;
         // Everything exercised is modeled…
         assert_eq!(check.impossible_total(), 0);
         // …but the completed recipe is still the injection signal.
@@ -1224,7 +1225,7 @@ mod tests {
         let images = BTreeMap::from([("inj.exe".to_string(), injector_image())]);
         // The process loaded the injector image but never ran the recipe.
         let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check_with_stats(&[p], &images).0;
         assert!(!check.injection_suspected());
         assert!(
             check
@@ -1248,7 +1249,7 @@ mod tests {
             "dbg.exe",
             &[(Sysno::NtReadVirtualMemory, [7, 0x1000, 0x50_0000, 16, 0])],
         );
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check_with_stats(&[p], &images).0;
         assert!(!check.injection_suspected(), "{check:?}");
         assert_eq!(check.processes[0].exercised, CapSet::of(Capability::ReadRemote));
     }
@@ -1261,7 +1262,7 @@ mod tests {
             "inj.exe",
             &[(Sysno::NtWriteVirtualMemory, [7, 0, 0, 0, 0])],
         );
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check_with_stats(&[p], &images).0;
         let back = CapabilityCrossCheck::from_json_value(&check.to_json_value()).unwrap();
         assert_eq!(back, check);
         let empty = CapabilityCrossCheck::default();
@@ -1303,7 +1304,7 @@ mod tests {
     fn render_shows_processes_and_residual(){
         let images = BTreeMap::from([("inj.exe".to_string(), injector_image())]);
         let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check_with_stats(&[p], &images).0;
         let table = render_capability_check(&check);
         assert!(table.contains("residual: remote-thread-injection"), "{table}");
     }

@@ -124,7 +124,9 @@ pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, Comparison
         }
     }
     let images = faros_analyze::image_map(on_disk);
-    let coverage = faros_analyze::diff(&blocks.into_processes(), &images);
+    // One static analysis per image, shared by both cross-checks.
+    let analysis = faros_analyze::JobAnalysis::build(&images);
+    let coverage = faros_analyze::diff_analyzed(&blocks.into_processes(), &analysis);
 
     // 5. The CFI cross-check: observe every indirect transfer and return,
     //    then validate each against the static control-flow model of the
@@ -135,8 +137,11 @@ pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, Comparison
     let mut monitor = faros_replay::CfiMonitor::new();
     replay(&sample.scenario, &recording, budget, &mut monitor)
         .map_err(|e| ComparisonError(e.to_string()))?;
-    let cfi =
-        faros_analyze::cfi::check(&monitor.into_processes(), &images, faros.tainted_transfers());
+    let cfi = faros_analyze::cfi::check_analyzed(
+        &monitor.into_processes(),
+        &analysis,
+        faros.tainted_transfers(),
+    );
 
     Ok(ComparisonRow {
         sample: sample.scenario.name().to_string(),

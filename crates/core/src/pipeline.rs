@@ -4,8 +4,11 @@
 //!
 //! A *job* is one recording analyzed end to end: replay under FAROS
 //! (optionally with the flight recorder attached), replay again under the
-//! block-coverage plugin, then attach the static-vs-dynamic coverage diff,
-//! the taint cross-check, and the merged metrics to the [`FarosReport`].
+//! observer plugins (block coverage, CFI transfer monitor, capability
+//! monitor, and the profiler when profiling is on), analyze every loaded
+//! image once ([`JobAnalysis`]), then attach the four static-vs-dynamic
+//! cross-checks (coverage diff, taint, CFI, capabilities), the optional
+//! profile, and the merged metrics to the [`FarosReport`].
 //! Keeping the assembly in one place is what makes the service's parallel
 //! reports *byte-identical* to sequential CLI runs: both sides call
 //! [`analyze_recording`], so there is no second pipeline to drift.
@@ -18,7 +21,7 @@
 use crate::faros::Faros;
 use crate::policy::Policy;
 use crate::report::FarosReport;
-use faros_analyze::DynamicAlert;
+use faros_analyze::{DynamicAlert, JobAnalysis};
 use faros_obs::metrics::{MetricsRegistry, MetricsSnapshot};
 use faros_obs::prof::{ProcessSamples, ProfileReport};
 use faros_obs::profile::PhaseProfile;
@@ -73,27 +76,34 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// The wall-clock cost breakdown of one job — where the host's real time
-/// went, kept *outside* the report (wall-clock is nondeterministic, so it
-/// never enters report bytes, merged service metrics, or golden fixtures).
+/// The cost breakdown of one job — where the host's real time went, plus
+/// the deterministic count of static analyses — kept *outside* the report
+/// (wall-clock is nondeterministic, so it never enters report bytes, merged
+/// service metrics, or golden fixtures).
 #[derive(Debug, Clone, Default)]
 pub struct JobCost {
     /// Per-phase wall-clock totals: `replay` (both replay passes) and
-    /// `analyze` (static cross-checks and report assembly); the service
-    /// adds `queue_wait` and `report` around them.
+    /// `analyze` (static analysis, cross-checks and report assembly); the
+    /// service adds `queue_wait` and `report` around them.
     pub phases: PhaseProfile,
     /// Per-plugin dispatch counts across both replay passes; `wall_ns` is
     /// populated when [`AnalysisConfig::profile`] is on.
     pub plugins: Vec<PluginCost>,
+    /// Static image analyses the job ran — one per unique image (basename),
+    /// however many checks consult it. Deterministic.
+    pub static_analyses: u64,
 }
 
 impl JobCost {
     /// Renders the cost breakdown as a metrics snapshot: one-sample
     /// `phase.<name>_ns` histograms (so merging across jobs yields
     /// per-phase latency distributions with approximate p50/p95) plus
-    /// `plugin.<name>.dispatches` / `plugin.<name>.wall_ns` counters.
+    /// `plugin.<name>.dispatches` / `plugin.<name>.wall_ns` counters and
+    /// the `static.analyses` counter.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut reg = MetricsRegistry::new();
+        let analyses = reg.counter("static.analyses");
+        reg.add(analyses, self.static_analyses);
         for (name, ns) in self.phases.entries() {
             let h = reg.histogram(&format!("phase.{name}_ns"));
             reg.observe(h, *ns);
@@ -145,10 +155,13 @@ pub struct AnalyzedJob {
 /// Analyzes one recording end to end and assembles the job report.
 ///
 /// Pipeline: replay under FAROS (inside a [`PluginManager`], with the
-/// trace recorder registered when capture is on), replay under
-/// [`BlockCoverage`], compute the static coverage diff and taint
-/// cross-check against the scenario's program images, and attach both plus
-/// the merged FAROS + cross-check metrics.
+/// trace recorder registered when capture is on); replay under
+/// [`BlockCoverage`], [`CfiMonitor`] and [`CapabilityMonitor`] (plus the
+/// [`Profiler`] when profiling is on); build one [`JobAnalysis`] over the
+/// scenario's program images; run the coverage diff, taint cross-check,
+/// CFI check and capability cross-check against it (and symbolize the
+/// profile through it); and attach all of them plus the merged FAROS +
+/// cross-check metrics.
 ///
 /// # Errors
 ///
@@ -181,7 +194,10 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     }
     plugins.register(Box::new(faros));
     let replay_start = Instant::now();
-    let outcome = replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut plugins)?;
+    // Only the instruction count outlives the pass: dropping the replayed
+    // machine here keeps one guest memory image alive per job at a time.
+    let instructions =
+        replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut plugins)?.instructions;
     cost.phases.add_ns("replay", replay_start.elapsed().as_nanos() as u64);
     let mut faros = *plugins
         .take_as::<Faros>("faros")
@@ -234,20 +250,25 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     let images = faros_analyze::image_map(
         scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
     );
+    // One static analysis per image; every check below borrows it.
+    let analysis = JobAnalysis::build(&images);
+    cost.static_analyses += analysis.len() as u64;
     let observed = blocks.into_processes();
-    report.attach_coverage(&faros_analyze::diff(&observed, &images));
+    report.attach_coverage(&faros_analyze::diff_analyzed(&observed, &analysis));
     let alerts: Vec<DynamicAlert> = report
         .detections
         .iter()
         .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
         .collect();
-    let (taint, stats) = faros_analyze::taint_cross_check_with_stats(&alerts, &observed, &images);
+    let (taint, stats) =
+        faros_analyze::taint_cross_check_analyzed(&alerts, &observed, &analysis);
     report.attach_taint(taint);
     let transfers = monitor.into_processes();
-    let cfi = faros_analyze::cfi::check(&transfers, &images, faros.tainted_transfers());
+    let cfi =
+        faros_analyze::cfi::check_analyzed(&transfers, &analysis, faros.tainted_transfers());
     let caps_observed = capmon.into_processes();
     let (caps, cap_stats) =
-        faros_analyze::capability_cross_check_with_stats(&caps_observed, &images);
+        faros_analyze::capability_cross_check_analyzed(&caps_observed, &analysis);
     let mut reg = MetricsRegistry::new();
     stats.record_into(&mut reg);
     cfi.stats.record_into(&mut reg);
@@ -258,7 +279,7 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         // Symbolize the raw per-block samples through the images' static
         // function tables — a pure function of recording + images, so the
         // attached profile is byte-identical across replays.
-        let layouts = faros_analyze::layout_map(&images);
+        let layouts = faros_analyze::layout_map(&analysis);
         let samples: Vec<ProcessSamples> = profiler
             .into_processes()
             .into_iter()
@@ -276,7 +297,7 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     report.attach_metrics(snap);
     cost.phases.add_ns("analyze", analyze_start.elapsed().as_nanos() as u64);
 
-    Ok(AnalyzedJob { report, faros, instructions: outcome.instructions, trace, cost })
+    Ok(AnalyzedJob { report, faros, instructions, trace, cost })
 }
 
 #[cfg(test)]
@@ -312,6 +333,8 @@ mod tests {
         assert!(plain.cost.phases.ns("analyze").is_some());
         assert!(!plain.cost.plugins.is_empty());
         assert!(plain.cost.metrics().counter("plugin.faros.dispatches").is_some());
+        // No program images, so no static analysis ran.
+        assert_eq!(plain.cost.metrics().counter("static.analyses"), Some(0));
 
         let cfg = AnalysisConfig { profile: true, ..AnalysisConfig::default() };
         let a = analyze_recording(&Empty, &recording, &cfg).unwrap();

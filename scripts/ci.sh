@@ -24,6 +24,11 @@ fi
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> job-level benchmark builds against the current crates"
+# perfbench (its own package) calls the public analyze/core/service API;
+# an API change that breaks the benchmark must fail here, not at bench time.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --offline --workspace"
 # Includes the CFI differential gates (tests/cfi_soundness.rs): zero
 # violations across the whole benign corpus, >=1 per ROP/JOP reuse

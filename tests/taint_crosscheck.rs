@@ -30,7 +30,8 @@ fn cross_check(sample: &Sample) -> TaintCrossCheck {
         .iter()
         .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
         .collect();
-    analyze::taint_cross_check(&alerts, &blocks.into_processes(), &images)
+    let analysis = analyze::JobAnalysis::build(&images);
+    analyze::taint_cross_check_analyzed(&alerts, &blocks.into_processes(), &analysis).0
 }
 
 #[test]
