@@ -7,6 +7,7 @@
 //! model and capability report derived from its result) and the checks
 //! borrow it, so no image is analyzed twice within a job.
 
+use crate::cfg::DecodeStats;
 use crate::cfi::CfiModel;
 use crate::coverage::basename;
 use crate::dataflow::{analyze_image, ImageDataflow};
@@ -61,6 +62,15 @@ impl<'a> JobAnalysis<'a> {
     /// Number of images analyzed — one [`analyze_image`] run each.
     pub fn len(&self) -> usize {
         self.images.len()
+    }
+
+    /// The decoder work of every image's CFG recovery, summed.
+    pub fn decode_stats(&self) -> DecodeStats {
+        let mut total = DecodeStats::default();
+        for a in self.images.values() {
+            total += a.dataflow.cfg.decode_stats();
+        }
+        total
     }
 
     /// Returns `true` if the job has no images.

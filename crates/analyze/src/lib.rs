@@ -59,7 +59,7 @@ pub mod syscap;
 pub mod vsa;
 
 pub use analysis::JobAnalysis;
-pub use cfg::{BasicBlock, ModuleCfg};
+pub use cfg::{BasicBlock, DecodeStats, ModuleCfg};
 pub use cfi::{CfiCheckReport, CfiModel, CfiStats, CfiViolation};
 pub use coverage::{diff, diff_analyzed, image_map, CoverageReport, ProcessCoverage};
 pub use gadgets::{GadgetReport, GadgetStats, SectionGadgets};

@@ -525,7 +525,9 @@ fn pipeline_report(sample: &Sample) -> FarosReport {
 /// impossible-per-model alert, every non-injecting family variant none,
 /// and the corpus-wide `unresolved-indirect` advisory counts must match
 /// the pinned values (the dataflow engine's resolution rate is a gated
-/// behavior, not a best-effort extra).
+/// behavior, not a best-effort extra). CFG recovery over every program
+/// image must call the decoder at most once per non-zero code byte (the
+/// `static decode` line).
 fn corpus_gate() {
     let mut bad = 0usize;
     for sample in faros_corpus::attacks::all_injecting_samples() {
@@ -662,8 +664,15 @@ fn corpus_gate() {
     }
 
     let (mut baseline, mut after, mut sysno_unresolved) = (0u64, 0u64, 0u64);
+    let mut decode = faros_analyze::DecodeStats::default();
+    let (mut code_bytes, mut non_zero) = (0u64, 0u64);
     for sample in sample_registry() {
         for (path, image) in sample.scenario.programs() {
+            decode += faros_analyze::ModuleCfg::recover(path, image).decode_stats();
+            for s in image.code_sections() {
+                code_bytes += s.data.len() as u64;
+                non_zero += s.data.iter().filter(|&&b| b != 0).count() as u64;
+            }
             baseline += faros_analyze::lint_image(path, image)
                 .iter()
                 .filter(|f| f.kind == faros_analyze::FindingKind::UnresolvedIndirect)
@@ -695,6 +704,17 @@ fn corpus_gate() {
     );
     if sysno_unresolved != GATE_SYSNO_UNRESOLVED {
         println!("corpus-gate: FAIL (syscall-number-unresolved count moved off the pin)");
+        bad += 1;
+    }
+    // A deterministic perf gate: CFG recovery takes zero padding without
+    // the decoder, so decoder calls never exceed the non-zero code bytes.
+    println!(
+        "corpus-gate: static decode: {} decode_at calls, {code_bytes} code bytes \
+         ({non_zero} non-zero), {} padding bytes skipped",
+        decode.insns_decoded, decode.padding_bytes
+    );
+    if decode.insns_decoded > non_zero {
+        println!("corpus-gate: FAIL (decode_at calls exceed the non-zero code bytes)");
         bad += 1;
     }
     if bad > 0 {

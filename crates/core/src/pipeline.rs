@@ -21,7 +21,7 @@
 use crate::faros::Faros;
 use crate::policy::Policy;
 use crate::report::FarosReport;
-use faros_analyze::{DynamicAlert, JobAnalysis};
+use faros_analyze::{DecodeStats, DynamicAlert, JobAnalysis};
 use faros_obs::metrics::{MetricsRegistry, MetricsSnapshot};
 use faros_obs::prof::{ProcessSamples, ProfileReport};
 use faros_obs::profile::PhaseProfile;
@@ -77,7 +77,7 @@ impl Default for AnalysisConfig {
 }
 
 /// The cost breakdown of one job — where the host's real time went, plus
-/// the deterministic count of static analyses — kept *outside* the report
+/// deterministic static-analysis work counters — kept *outside* the report
 /// (wall-clock is nondeterministic, so it never enters report bytes, merged
 /// service metrics, or golden fixtures).
 #[derive(Debug, Clone, Default)]
@@ -92,6 +92,8 @@ pub struct JobCost {
     /// Static image analyses the job ran — one per unique image (basename),
     /// however many checks consult it. Deterministic.
     pub static_analyses: u64,
+    /// Decoder work of those analyses' CFG recoveries. Deterministic.
+    pub static_decode: DecodeStats,
 }
 
 impl JobCost {
@@ -99,11 +101,18 @@ impl JobCost {
     /// `phase.<name>_ns` histograms (so merging across jobs yields
     /// per-phase latency distributions with approximate p50/p95) plus
     /// `plugin.<name>.dispatches` / `plugin.<name>.wall_ns` counters and
-    /// the `static.analyses` counter.
+    /// the `static.analyses`, `static.insns_decoded` and
+    /// `static.padding_bytes` counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut reg = MetricsRegistry::new();
-        let analyses = reg.counter("static.analyses");
-        reg.add(analyses, self.static_analyses);
+        for (name, value) in [
+            ("static.analyses", self.static_analyses),
+            ("static.insns_decoded", self.static_decode.insns_decoded),
+            ("static.padding_bytes", self.static_decode.padding_bytes),
+        ] {
+            let c = reg.counter(name);
+            reg.add(c, value);
+        }
         for (name, ns) in self.phases.entries() {
             let h = reg.histogram(&format!("phase.{name}_ns"));
             reg.observe(h, *ns);
@@ -253,6 +262,7 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     // One static analysis per image; every check below borrows it.
     let analysis = JobAnalysis::build(&images);
     cost.static_analyses += analysis.len() as u64;
+    cost.static_decode += analysis.decode_stats();
     let observed = blocks.into_processes();
     report.attach_coverage(&faros_analyze::diff_analyzed(&observed, &analysis));
     let alerts: Vec<DynamicAlert> = report

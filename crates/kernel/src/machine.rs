@@ -196,11 +196,6 @@ impl Machine {
         self.exec = exec;
     }
 
-    /// The current execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
     /// Translation-cache counters (`tc.*` metrics source). All zero when the
     /// machine runs in [`ExecMode::Interpret`].
     pub fn tc_stats(&self) -> TcStats {

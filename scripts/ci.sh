@@ -146,7 +146,10 @@ echo "==> static/dynamic cross-check + CFI + capability truth-table gate over th
 # the benign dense-indirect foils at zero, the capability-laundering pair
 # raises the impossible-capability alert while the debugger foil stays
 # quiet, and the corpus-wide advisory counts (unresolved indirects,
-# unresolved syscall numbers) stay on their pins.
+# unresolved syscall numbers) stay on their pins. Its `static decode` line
+# is a deterministic perf gate: CFG recovery over every program image may
+# call the decoder at most once per non-zero code byte, so zero padding
+# never reaches it.
 cargo run --release --offline -p faros-bench --bin faros-cli -- analyze --corpus
 
 echo "==> interpreter-vs-cache differential over the full corpus"

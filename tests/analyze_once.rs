@@ -8,11 +8,16 @@
 //!    image is analyzed twice, none is skipped;
 //! 2. the image-keyed check entry points (`diff`, the taint and capability
 //!    `_with_stats` checks, `cfi::check`), which analyze internally,
-//!    produce exactly what the shared-analysis path produces.
+//!    produce exactly what the shared-analysis path produces;
+//! 3. CFG recovery never hands zero padding to the decoder: the job's
+//!    `static.insns_decoded` counter is at most the non-zero code bytes of
+//!    its unique images, and `static.padding_bytes` is non-zero wherever
+//!    an image carries a zero run no instruction can span.
 
 use faros::{analyze_recording, AnalysisConfig, Faros, Policy};
 use faros_repro::analyze::{self, DynamicAlert, JobAnalysis};
 use faros_repro::corpus::sample_registry;
+use faros_repro::emu::encode::MAX_INSTR_LEN;
 use faros_repro::replay::{
     record, replay, BlockCoverage, CapabilityMonitor, CfiMonitor, PluginManager, Scenario as _,
 };
@@ -38,6 +43,39 @@ fn static_analyses_equal_unique_images_for_every_sample() {
             job.cost.metrics().counter("static.analyses"),
             Some(unique.len() as u64),
             "{}: expected one static analysis per unique image",
+            sample.name(),
+        );
+    }
+    assert_eq!(samples, 149, "the whole registry is part of the claim");
+}
+
+#[test]
+fn decoder_work_skips_zero_padding_for_every_sample() {
+    let mut samples = 0usize;
+    for sample in sample_registry() {
+        samples += 1;
+        let images = analyze::image_map(
+            sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
+        );
+        let code: Vec<&[u8]> =
+            images.values().flat_map(|i| i.code_sections()).map(|s| &s.data[..]).collect();
+        let non_zero: u64 = code.iter().map(|d| d.iter().filter(|&&b| b != 0).count() as u64).sum();
+        let has_padding =
+            code.iter().any(|d| d.split(|&b| b != 0).any(|run| run.len() >= MAX_INSTR_LEN));
+        let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
+        let job =
+            analyze_recording(&sample.scenario, &recording, &AnalysisConfig::default()).unwrap();
+        let metrics = job.cost.metrics();
+        let decoded = metrics.counter("static.insns_decoded").expect("counter emitted");
+        let padding = metrics.counter("static.padding_bytes").expect("counter emitted");
+        assert!(
+            decoded <= non_zero,
+            "{}: {decoded} decoder calls for {non_zero} non-zero code bytes",
+            sample.name(),
+        );
+        assert!(
+            !has_padding || padding > 0,
+            "{}: zero padding present but none taken without the decoder",
             sample.name(),
         );
     }
