@@ -2,13 +2,16 @@
 //! CLI (`faros-cli analyze`/`replay`) and the detonation service
 //! (`faros-service` workers).
 //!
-//! A *job* is one recording analyzed end to end: replay under FAROS
-//! (optionally with the flight recorder attached), replay again under the
-//! observer plugins (block coverage, CFI transfer monitor, capability
-//! monitor, and the profiler when profiling is on), analyze every loaded
-//! image once ([`JobAnalysis`]), then attach the four static-vs-dynamic
-//! cross-checks (coverage diff, taint, CFI, capabilities), the optional
-//! profile, and the merged metrics to the [`FarosReport`].
+//! A *job* is one recording analyzed end to end: replay it once with FAROS
+//! and every observer plugin stacked in one [`PluginManager`] (the flight
+//! recorder when capture is on, the profiler when profiling is on, block
+//! coverage, the CFI transfer monitor and the capability monitor), analyze
+//! every loaded image once ([`JobAnalysis`]), then attach the four
+//! static-vs-dynamic cross-checks (coverage diff, taint, CFI,
+//! capabilities), the optional profile, and the merged metrics to the
+//! [`FarosReport`]. No observer implements a `flow_*` hook, so stacking
+//! them beside FAROS leaves block-level flow elision governed by FAROS
+//! alone, and every non-flow hook still fires per instruction.
 //! Keeping the assembly in one place is what makes the service's parallel
 //! reports *byte-identical* to sequential CLI runs: both sides call
 //! [`analyze_recording`], so there is no second pipeline to drift.
@@ -22,6 +25,7 @@ use crate::faros::Faros;
 use crate::policy::Policy;
 use crate::report::FarosReport;
 use faros_analyze::{DecodeStats, DynamicAlert, JobAnalysis};
+use faros_emu::TcStats;
 use faros_obs::metrics::{MetricsRegistry, MetricsSnapshot};
 use faros_obs::prof::{ProcessSamples, ProfileReport};
 use faros_obs::profile::PhaseProfile;
@@ -56,7 +60,7 @@ pub struct AnalysisConfig {
     /// default — with it off, report bytes are identical to pre-profiler
     /// builds.
     pub profile: bool,
-    /// How both replay passes execute guest code. Defaults to
+    /// How the job's replay executes guest code. Defaults to
     /// [`ExecMode::Cached`]; the differential gate sets
     /// [`ExecMode::Interpret`] and requires byte-identical reports.
     pub exec: ExecMode,
@@ -82,12 +86,14 @@ impl Default for AnalysisConfig {
 /// service metrics, or golden fixtures).
 #[derive(Debug, Clone, Default)]
 pub struct JobCost {
-    /// Per-phase wall-clock totals: `replay` (both replay passes) and
-    /// `analyze` (static analysis, cross-checks and report assembly); the
-    /// service adds `queue_wait` and `report` around them.
+    /// Per-phase wall-clock totals: `replay` (the job's one replay, all
+    /// plugins stacked) and `analyze` (static analysis, cross-checks and
+    /// report assembly); the service adds `queue_wait` and `report` around
+    /// them.
     pub phases: PhaseProfile,
-    /// Per-plugin dispatch counts across both replay passes; `wall_ns` is
-    /// populated when [`AnalysisConfig::profile`] is on.
+    /// Per-plugin dispatch counts of the job's one replay, in registration
+    /// order; `wall_ns` is populated when [`AnalysisConfig::profile`] is
+    /// on.
     pub plugins: Vec<PluginCost>,
     /// Static image analyses the job ran — one per unique image (basename),
     /// however many checks consult it. Deterministic.
@@ -154,6 +160,9 @@ pub struct AnalyzedJob {
     pub faros: Faros,
     /// Instructions retired by the replay.
     pub instructions: u64,
+    /// The replay's translation-cache counters (all zero under
+    /// [`ExecMode::Interpret`]).
+    pub tc: TcStats,
     /// The per-job flight-recorder capture, when requested.
     pub trace: Option<TraceCapture>,
     /// Wall-clock phase timings and per-plugin dispatch costs — the job's
@@ -163,18 +172,18 @@ pub struct AnalyzedJob {
 
 /// Analyzes one recording end to end and assembles the job report.
 ///
-/// Pipeline: replay under FAROS (inside a [`PluginManager`], with the
-/// trace recorder registered when capture is on); replay under
-/// [`BlockCoverage`], [`CfiMonitor`] and [`CapabilityMonitor`] (plus the
-/// [`Profiler`] when profiling is on); build one [`JobAnalysis`] over the
-/// scenario's program images; run the coverage diff, taint cross-check,
-/// CFI check and capability cross-check against it (and symbolize the
-/// profile through it); and attach all of them plus the merged FAROS +
-/// cross-check metrics.
+/// Pipeline: one replay with every plugin stacked in one
+/// [`PluginManager`], in this order: the trace recorder (when capture is
+/// on), FAROS, the [`Profiler`] (when profiling is on), [`BlockCoverage`],
+/// [`CfiMonitor`] and [`CapabilityMonitor`]; build one [`JobAnalysis`]
+/// over the scenario's program images; run the coverage diff, taint
+/// cross-check, CFI check and capability cross-check against it (and
+/// symbolize the profile through it); and attach all of them plus the
+/// merged FAROS + cross-check metrics.
 ///
 /// # Errors
 ///
-/// Propagates [`ReplayError`] from either replay pass.
+/// Propagates [`ReplayError`] from the replay.
 pub fn analyze_recording<S: Scenario + ?Sized>(
     scenario: &S,
     recording: &Recording,
@@ -191,22 +200,26 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
 
     let mut cost = JobCost::default();
 
-    // Replay #1: FAROS (plus the trace recorder when capture is on). The
-    // manager wrapping is unconditional so the dispatch path is identical
-    // with and without tracing.
+    // One replay with every plugin stacked, PANDA-style. The observers
+    // implement no `flow_*` hooks, so flow elision stays FAROS's call.
     let mut plugins = PluginManager::new();
-    if cfg.profile {
-        plugins.enable_dispatch_profiling();
-    }
     if let Some(ring) = &ring {
         plugins.register(Box::new(TraceRecorder::new(ring.clone())));
     }
     plugins.register(Box::new(faros));
+    if cfg.profile {
+        plugins.enable_dispatch_profiling();
+        plugins.register(Box::new(Profiler::new()));
+    }
+    plugins.register(Box::new(BlockCoverage::new()));
+    plugins.register(Box::new(CfiMonitor::new()));
+    plugins.register(Box::new(CapabilityMonitor::new()));
     let replay_start = Instant::now();
-    // Only the instruction count outlives the pass: dropping the replayed
-    // machine here keeps one guest memory image alive per job at a time.
-    let instructions =
-        replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut plugins)?.instructions;
+    // Only the instruction count and the translation-cache counters outlive
+    // the replay: the machine drops here, before static analysis runs.
+    let (instructions, tc) =
+        replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut plugins)
+            .map(|outcome| (outcome.instructions, outcome.machine.tc_stats()))?;
     cost.phases.add_ns("replay", replay_start.elapsed().as_nanos() as u64);
     let mut faros = *plugins
         .take_as::<Faros>("faros")
@@ -222,37 +235,19 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
             recorder_metrics: tracer.metrics_snapshot(),
         }
     });
-    cost.plugins.extend(plugins.dispatch_costs().iter().cloned());
-
-    // Replay #2: block coverage + the CFI transfer monitor for the
-    // static-vs-dynamic cross-checks (plus the retired-instruction
-    // profiler when profiling is on).
-    let mut observers = PluginManager::new();
-    if cfg.profile {
-        observers.enable_dispatch_profiling();
-        observers.register(Box::new(Profiler::new()));
-    }
-    observers.register(Box::new(BlockCoverage::new()));
-    observers.register(Box::new(CfiMonitor::new()));
-    observers.register(Box::new(CapabilityMonitor::new()));
-    let replay_start = Instant::now();
-    replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut observers)?;
-    cost.phases.add_ns("replay", replay_start.elapsed().as_nanos() as u64);
-    let blocks = *observers
+    let profiler = cfg
+        .profile
+        .then(|| *plugins.take_as::<Profiler>("profiler").expect("registered above"));
+    let blocks = *plugins
         .take_as::<BlockCoverage>("block-coverage")
         .expect("the coverage plugin was registered above");
-    let monitor = *observers
+    let monitor = *plugins
         .take_as::<CfiMonitor>("cfi-monitor")
         .expect("the cfi monitor was registered above");
-    let capmon = *observers
+    let capmon = *plugins
         .take_as::<CapabilityMonitor>("capability-monitor")
         .expect("the capability monitor was registered above");
-    let profiler = if cfg.profile {
-        Some(*observers.take_as::<Profiler>("profiler").expect("registered above"))
-    } else {
-        None
-    };
-    cost.plugins.extend(observers.dispatch_costs().iter().cloned());
+    cost.plugins = plugins.dispatch_costs().to_vec();
 
     let analyze_start = Instant::now();
     let mut report = faros.report();
@@ -307,7 +302,7 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     report.attach_metrics(snap);
     cost.phases.add_ns("analyze", analyze_start.elapsed().as_nanos() as u64);
 
-    Ok(AnalyzedJob { report, faros, instructions, trace, cost })
+    Ok(AnalyzedJob { report, faros, instructions, tc, trace, cost })
 }
 
 #[cfg(test)]

@@ -1,15 +1,18 @@
-//! One static analysis per image per job.
+//! One replay and one static analysis per image per job.
 //!
-//! The job pipeline builds one `JobAnalysis` per recording and every
-//! cross-check borrows it. Two claims over the whole registry:
+//! The job pipeline replays each recording once, with FAROS and every
+//! observer stacked in one `PluginManager`, builds one `JobAnalysis` per
+//! recording, and every cross-check borrows it. The claims:
 //!
-//! 1. the job's deterministic `static.analyses` cost counter equals the
+//! 1. `analyze_recording` builds the guest machine exactly once — one
+//!    replay — with profiling off and on and with trace capture on;
+//! 2. the job's deterministic `static.analyses` cost counter equals the
 //!    number of unique images (by basename) the scenario can load — no
 //!    image is analyzed twice, none is skipped;
-//! 2. the image-keyed check entry points (`diff`, the taint and capability
+//! 3. the image-keyed check entry points (`diff`, the taint and capability
 //!    `_with_stats` checks, `cfi::check`), which analyze internally,
 //!    produce exactly what the shared-analysis path produces;
-//! 3. CFG recovery never hands zero padding to the decoder: the job's
+//! 4. CFG recovery never hands zero padding to the decoder: the job's
 //!    `static.insns_decoded` counter is at most the non-zero code bytes of
 //!    its unique images, and `static.padding_bytes` is non-zero wherever
 //!    an image carries a zero run no instruction can span.
@@ -18,12 +21,67 @@ use faros::{analyze_recording, AnalysisConfig, Faros, Policy};
 use faros_repro::analyze::{self, DynamicAlert, JobAnalysis};
 use faros_repro::corpus::sample_registry;
 use faros_repro::emu::encode::MAX_INSTR_LEN;
+use faros_repro::kernel::event::Observer;
+use faros_repro::kernel::machine::{Machine, MachineConfig, MachineError};
+use faros_repro::kernel::module::FdlImage;
+use faros_repro::kernel::net::NetworkFabric;
 use faros_repro::replay::{
-    record, replay, BlockCoverage, CapabilityMonitor, CfiMonitor, PluginManager, Scenario as _,
+    record, replay, BlockCoverage, CapabilityMonitor, CfiMonitor, PluginManager, Scenario,
 };
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 const BUDGET: u64 = 20_000_000;
+
+/// A registry sample that counts how many machines it has built — one per
+/// record or replay.
+struct CountingBuilds<'a> {
+    inner: &'a dyn Scenario,
+    builds: Cell<usize>,
+}
+
+impl Scenario for CountingBuilds<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn guest_ip(&self) -> [u8; 4] {
+        self.inner.guest_ip()
+    }
+    fn build(
+        &self,
+        fabric: NetworkFabric,
+        obs: &mut dyn Observer,
+    ) -> Result<Machine, MachineError> {
+        self.builds.set(self.builds.get() + 1);
+        self.inner.build(fabric, obs)
+    }
+    fn config(&self) -> MachineConfig {
+        self.inner.config()
+    }
+    fn programs(&self) -> &[(String, FdlImage)] {
+        self.inner.programs()
+    }
+}
+
+#[test]
+fn analyze_recording_replays_each_job_once() {
+    let sample = sample_registry()
+        .into_iter()
+        .find(|s| s.name() == "process_hollowing")
+        .expect("registry sample");
+    let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
+    let counted = CountingBuilds { inner: &sample.scenario, builds: Cell::new(0) };
+    for (label, cfg) in [
+        ("profiling off", AnalysisConfig::default()),
+        ("profiling on", AnalysisConfig { profile: true, ..AnalysisConfig::default() }),
+        ("trace capture on", AnalysisConfig { capture_trace: true, ..AnalysisConfig::default() }),
+    ] {
+        counted.builds.set(0);
+        let job = analyze_recording(&counted, &recording, &cfg).unwrap();
+        assert!(job.report.attack_flagged(), "{label}: the job ran end to end");
+        assert_eq!(counted.builds.get(), 1, "{label}: one replay per job");
+    }
+}
 
 #[test]
 fn static_analyses_equal_unique_images_for_every_sample() {
@@ -87,22 +145,22 @@ fn image_keyed_checks_match_the_shared_analysis_across_the_corpus() {
     for sample in sample_registry() {
         let name = sample.name();
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
-        let mut faros = Faros::new(Policy::paper());
-        replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
-        let mut observers = PluginManager::new();
-        observers.register(Box::new(BlockCoverage::new()));
-        observers.register(Box::new(CfiMonitor::new()));
-        observers.register(Box::new(CapabilityMonitor::new()));
-        replay(&sample.scenario, &recording, BUDGET, &mut observers).unwrap();
-        let blocks = observers
+        let mut plugins = PluginManager::new();
+        plugins.register(Box::new(Faros::new(Policy::paper())));
+        plugins.register(Box::new(BlockCoverage::new()));
+        plugins.register(Box::new(CfiMonitor::new()));
+        plugins.register(Box::new(CapabilityMonitor::new()));
+        replay(&sample.scenario, &recording, BUDGET, &mut plugins).unwrap();
+        let faros = plugins.take_as::<Faros>("faros").expect("registered above");
+        let blocks = plugins
             .take_as::<BlockCoverage>("block-coverage")
             .expect("registered above")
             .into_processes();
-        let transfers = observers
+        let transfers = plugins
             .take_as::<CfiMonitor>("cfi-monitor")
             .expect("registered above")
             .into_processes();
-        let caps = observers
+        let caps = plugins
             .take_as::<CapabilityMonitor>("capability-monitor")
             .expect("registered above")
             .into_processes();
