@@ -323,8 +323,15 @@ pub struct Table5Row {
     pub overhead: f64,
     /// The paper's slowdown for the same row.
     pub paper_overhead: f64,
-    /// Instructions replayed.
+    /// Instructions replayed without FAROS.
     pub instructions: u64,
+    /// Instructions replayed with FAROS (equal to `instructions`: both
+    /// replays run the same recording).
+    pub faros_instructions: u64,
+    /// Plugin callbacks dispatched during the replay without FAROS.
+    pub base_dispatches: u64,
+    /// Plugin callbacks dispatched to FAROS during its replay.
+    pub faros_dispatches: u64,
 }
 
 /// Measures Table V: replay time with vs. without the FAROS plugin for the
@@ -336,7 +343,11 @@ pub fn table5_rows(repeats: u32) -> Vec<Table5Row> {
             record(&workload.sample.scenario, BUDGET).expect("record succeeds");
         let mut base = Duration::MAX;
         let mut with_faros = Duration::MAX;
-        let mut instructions = 0;
+        let (mut instructions, mut faros_instructions) = (0, 0);
+        let (mut base_dispatches, mut faros_dispatches) = (0, 0);
+        let dispatches = |mgr: &PluginManager| -> u64 {
+            mgr.dispatch_costs().iter().map(|c| c.dispatches).sum()
+        };
         for _ in 0..repeats.max(1) {
             // Empty plugin stack = plain PANDA replay.
             let mut empty = PluginManager::new();
@@ -344,11 +355,15 @@ pub fn table5_rows(repeats: u32) -> Vec<Table5Row> {
                 .expect("replay succeeds");
             base = base.min(outcome.wall);
             instructions = outcome.instructions;
+            base_dispatches = dispatches(&empty);
 
-            let mut faros = Faros::new(Policy::paper());
+            let mut faros = PluginManager::new();
+            faros.register(Box::new(Faros::new(Policy::paper())));
             let outcome = replay(&workload.sample.scenario, &recording, BUDGET, &mut faros)
                 .expect("replay succeeds");
             with_faros = with_faros.min(outcome.wall);
+            faros_instructions = outcome.instructions;
+            faros_dispatches = dispatches(&faros);
         }
         let overhead = with_faros.as_secs_f64() / base.as_secs_f64().max(1e-9);
         rows.push(Table5Row {
@@ -358,6 +373,9 @@ pub fn table5_rows(repeats: u32) -> Vec<Table5Row> {
             overhead,
             paper_overhead: workload.paper_overhead(),
             instructions,
+            faros_instructions,
+            base_dispatches,
+            faros_dispatches,
         });
     }
     rows
@@ -538,33 +556,19 @@ mod tests {
     }
 
     #[test]
-    fn table5_rows_measure_a_slowdown() {
-        // Wall-clock ratios are noisy when the whole workspace's test
-        // binaries run in parallel: a single descheduled baseline replay
-        // can invert the overhead. Min-of-3 timings per attempt plus a
-        // bounded re-measure keep the check meaningful without flaking.
-        // Since the decode-once translation cache made FAROS overhead on
-        // these small samples comparable to timer noise, the per-row bound
-        // only rejects a FAROS replay that is *substantially* faster than
-        // the empty-plugin baseline (which would mean the harness measured
-        // the wrong thing), not one within noise of free.
-        let mut rows = table5_rows(3);
-        for _ in 0..2 {
-            if rows.iter().all(|r| r.overhead > 1.0) {
-                break;
-            }
-            rows = table5_rows(3);
-        }
+    fn table5_rows_replay_the_same_run_with_and_without_faros() {
+        // Deterministic checks that the harness measured the right thing:
+        // both replays retire the same instructions, and only the FAROS
+        // replay dispatched plugin callbacks. The wall-clock overhead is
+        // printed by `table5()` but not asserted: on these small samples it
+        // is within timer noise of free.
+        let rows = table5_rows(1);
         assert_eq!(rows.len(), 6);
         for row in &rows {
             assert!(row.instructions > 0, "{}", row.label);
-            assert!(row.base.as_nanos() > 0);
-            assert!(
-                row.overhead > 0.8,
-                "{}: FAROS replay cannot beat the empty baseline ({}x)",
-                row.label,
-                row.overhead
-            );
+            assert_eq!(row.faros_instructions, row.instructions, "{}", row.label);
+            assert_eq!(row.base_dispatches, 0, "{}: empty plugin stack", row.label);
+            assert!(row.faros_dispatches > 0, "{}: FAROS saw no callbacks", row.label);
             assert!(row.paper_overhead >= 7.0);
         }
     }

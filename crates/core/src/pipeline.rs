@@ -88,8 +88,8 @@ impl Default for AnalysisConfig {
 pub struct JobCost {
     /// Per-phase wall-clock totals: `replay` (the job's one replay, all
     /// plugins stacked) and `analyze` (static analysis, cross-checks and
-    /// report assembly); the service adds `queue_wait` and `report` around
-    /// them.
+    /// report assembly); the service adds `resolve`, `queue_wait` and
+    /// `report` around them.
     pub phases: PhaseProfile,
     /// Per-plugin dispatch counts of the job's one replay, in registration
     /// order; `wall_ns` is populated when [`AnalysisConfig::profile`] is

@@ -3,6 +3,9 @@
 //!
 //! Endpoints are registered as *factories* so a scenario can be built twice
 //! (once to record, once to replay) with identical fresh endpoint state.
+//! Factories are `Send + Sync` because [`crate::find_sample`] shares one
+//! registry across threads: service workers build the same sample's
+//! scenario concurrently, each call getting its own endpoint.
 
 use faros_kernel::net::RemoteEndpoint;
 
@@ -19,13 +22,16 @@ pub const WEB_IP: [u8; 4] = [93, 184, 216, 34];
 pub const WEB_PORT: u16 = 80;
 
 /// Factory producing a fresh endpoint instance per machine build.
+///
+/// The constructor is `Send + Sync` so a [`crate::Sample`] in the
+/// process-wide registry can be built from any worker thread at once.
 pub struct EndpointFactory {
     /// Endpoint IP.
     pub ip: [u8; 4],
     /// Endpoint port.
     pub port: u16,
     /// Constructor.
-    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint>>,
+    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint> + Send + Sync>,
 }
 
 impl std::fmt::Debug for EndpointFactory {
@@ -42,7 +48,7 @@ impl EndpointFactory {
     /// Creates a factory from a closure.
     pub fn new<F, E>(ip: [u8; 4], port: u16, make: F) -> EndpointFactory
     where
-        F: Fn() -> E + 'static,
+        F: Fn() -> E + Send + Sync + 'static,
         E: RemoteEndpoint + 'static,
     {
         EndpointFactory { ip, port, make: Box::new(move || Box::new(make())) }
@@ -51,6 +57,8 @@ impl EndpointFactory {
 
 /// Factory for a scheduled *inbound* connection: at `at_tick` the scripted
 /// remote dials the guest's listening port (bind-shell style RATs).
+///
+/// `Send + Sync` for the same reason as [`EndpointFactory`].
 pub struct InboundFactory {
     /// Remote (ip, port) the connection appears to come from.
     pub remote: ([u8; 4], u16),
@@ -59,7 +67,7 @@ pub struct InboundFactory {
     /// Virtual tick of the dial.
     pub at_tick: u64,
     /// Endpoint constructor.
-    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint>>,
+    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint> + Send + Sync>,
 }
 
 impl std::fmt::Debug for InboundFactory {
@@ -81,7 +89,7 @@ impl InboundFactory {
         make: F,
     ) -> InboundFactory
     where
-        F: Fn() -> E + 'static,
+        F: Fn() -> E + Send + Sync + 'static,
         E: RemoteEndpoint + 'static,
     {
         InboundFactory { remote, guest_port, at_tick, make: Box::new(move || Box::new(make())) }

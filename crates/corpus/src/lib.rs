@@ -40,9 +40,17 @@ pub mod smc;
 
 pub use scenario::{Behavior, Category, InjectionKind, Sample, SampleScenario};
 
+use std::sync::OnceLock;
+
+/// The process-wide registry [`find_sample`] resolves names against.
+static REGISTRY: OnceLock<Vec<Sample>> = OnceLock::new();
+
 /// Every named sample in the corpus: the seven injecting samples, the
 /// evasion samples, the Fig. 1/2 demos, the 20 JIT workloads, and the full
 /// 104-entry false-positive dataset.
+///
+/// Each call builds a fresh, owned copy; name lookups go through
+/// [`find_sample`], which builds it once per process.
 pub fn sample_registry() -> Vec<Sample> {
     let probe = faros_kernel::Machine::new(faros_kernel::MachineConfig::default());
     let ntdll = &probe.kernel_modules()[0];
@@ -69,6 +77,12 @@ pub fn sample_registry() -> Vec<Sample> {
 }
 
 /// Looks a sample up by name (see [`sample_registry`]).
-pub fn find_sample(name: &str) -> Option<Sample> {
-    sample_registry().into_iter().find(|s| s.name() == name)
+///
+/// The registry is built once per process, on the first lookup, and every
+/// lookup borrows from that copy. Sharing is safe: [`sample_registry`] is a
+/// deterministic function with no inputs, nothing mutates a [`Sample`] after
+/// it is built, and each `Scenario::build` makes a fresh machine and fresh
+/// endpoints from the sample's factories.
+pub fn find_sample(name: &str) -> Option<&'static Sample> {
+    REGISTRY.get_or_init(sample_registry).iter().find(|s| s.name() == name)
 }

@@ -176,7 +176,7 @@ pub struct JobResult {
     /// Per-job flight-recorder events evicted (0 unless the ring was
     /// undersized).
     pub trace_dropped: u64,
-    /// The job's cost channel: queue-wait/replay/analyze/report phase
+    /// The job's cost channel: resolve/queue-wait/replay/analyze/report phase
     /// latency histograms plus per-plugin dispatch counts, as a metrics
     /// snapshot. Wall-clock, human-facing only — deliberately kept out of
     /// [`JobResult::metrics`] so merged report metrics stay deterministic.

@@ -724,7 +724,8 @@ fn worker_loop(inner: &Arc<Inner>, worker_id: u64) {
 
 /// Resolves and analyzes one job, applying any scheduled fault. The
 /// pipeline's phase/plugin cost channel is extended with the service-side
-/// phases (`queue_wait`, `report`) and shipped as the result's `cost`.
+/// phases (`resolve`, `queue_wait`, `report`) and shipped as the result's
+/// `cost`.
 fn execute_job(
     inner: &Inner,
     id: u64,
@@ -732,7 +733,9 @@ fn execute_job(
     queue_wait: Duration,
 ) -> Result<JobResult, JobFailure> {
     let fault = inner.faults.get(id);
+    let resolve_started = Instant::now();
     let (sample, recording) = resolve(inner, spec)?;
+    let resolve_ns = resolve_started.elapsed().as_nanos() as u64;
     match fault {
         Some(Fault::Stall(pause)) => thread::sleep(pause),
         Some(Fault::PanicMidReplay(after)) => {
@@ -760,6 +763,7 @@ fn execute_job(
         report_json.truncate(report_json.len() / 2);
     }
     let mut cost = job.cost.clone();
+    cost.phases.add_ns("resolve", resolve_ns);
     cost.phases.add_ns("queue_wait", queue_wait.as_nanos() as u64);
     cost.phases.add_ns("report", report_started.elapsed().as_nanos() as u64);
     let (trace_events, trace_dropped) =
@@ -775,10 +779,13 @@ fn execute_job(
     })
 }
 
+/// Finds the job's sample in the process-wide corpus registry and obtains
+/// its recording: a live `record` for a scenario job, the parsed JSON for a
+/// recording job.
 fn resolve(
     inner: &Inner,
     spec: &JobSpec,
-) -> Result<(faros_corpus::Sample, Recording), JobFailure> {
+) -> Result<(&'static faros_corpus::Sample, Recording), JobFailure> {
     match spec {
         JobSpec::Scenario { name } => {
             let sample = faros_corpus::find_sample(name).ok_or_else(|| {

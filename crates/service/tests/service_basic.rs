@@ -160,7 +160,24 @@ fn telemetry_verbs_work_over_the_socket() {
         .expect("protocol")
         .expect("admitted");
     let view = client.wait(id).expect("wait");
-    assert!(matches!(view.status, JobStatus::Done(_)));
+    let JobStatus::Done(scenario_job) = view.status else { panic!("scenario job must complete") };
+
+    // A recording job ingests JSON instead of recording live; both kinds
+    // carry exactly one `resolve` phase sample on their cost channel.
+    let sample = faros_corpus::find_sample("process_hollowing").expect("corpus sample");
+    let (recording, _) =
+        faros_replay::record(&sample.scenario, config().analysis.budget).expect("record");
+    let id = client
+        .submit(JobSpec::Recording { json: recording.to_json().expect("recording json") })
+        .expect("protocol")
+        .expect("admitted");
+    let JobStatus::Done(recording_job) = client.wait(id).expect("wait").status else {
+        panic!("recording job must complete")
+    };
+    for (kind, job) in [("scenario", &scenario_job), ("recording", &recording_job)] {
+        let resolve = job.cost.histogram("phase.resolve_ns");
+        assert_eq!(resolve.map(|h| h.count), Some(1), "{kind} job: one resolve phase sample");
+    }
 
     // Metrics: the merged fold plus the wall-clock cost channel plus the
     // service's own gauges, all in one snapshot.
@@ -170,6 +187,11 @@ fn telemetry_verbs_work_over_the_socket() {
         metrics.histogram("phase.replay_ns").is_some(),
         "per-phase latency histograms ride the telemetry snapshot"
     );
+    assert_eq!(
+        metrics.histogram("phase.resolve_ns").map(|h| h.count),
+        Some(2),
+        "one resolve sample per job in the telemetry snapshot"
+    );
     assert!(
         metrics.counter("service.queue.submitted").is_some()
             || metrics.counters.iter().any(|(name, _)| name.starts_with("service.")),
@@ -177,7 +199,7 @@ fn telemetry_verbs_work_over_the_socket() {
         metrics.counters
     );
 
-    // Health: one completed job, no drops, no replacements -> all green.
+    // Health: two completed jobs, no drops, no replacements -> all green.
     let health = client.health().expect("health");
     assert_eq!(health.verdict, HealthStatus::Ok, "got {health:?}");
     assert!(!health.checks.is_empty());
@@ -186,7 +208,7 @@ fn telemetry_verbs_work_over_the_socket() {
     let (events, dropped) = client.trace(8).expect("trace");
     assert!(!events.is_empty(), "the flight recorder must hold service events");
     assert!(events.len() <= 8, "tail honours the requested bound");
-    assert_eq!(dropped, 0, "a 4096-slot ring does not overflow on one job");
+    assert_eq!(dropped, 0, "a 4096-slot ring does not overflow on two jobs");
 
     server.stop();
 }

@@ -13,7 +13,7 @@
 //! check to the full registry as a CI gate.
 
 use faros::{analyze_recording, AnalysisConfig};
-use faros_repro::corpus::{attacks, find_sample};
+use faros_repro::corpus::{attacks, find_sample, Sample};
 use faros_repro::kernel::machine::ExecMode;
 use faros_repro::replay::{record, Scenario as _};
 
@@ -21,7 +21,8 @@ const BUDGET: u64 = 20_000_000;
 
 #[test]
 fn cached_and_interpreted_reports_are_byte_identical() {
-    let mut samples = attacks::all_injecting_samples();
+    let injecting = attacks::all_injecting_samples();
+    let mut samples: Vec<&Sample> = injecting.iter().collect();
     for name in [
         "smc_patch_loop",
         "jit_pulleysystem", // copy-and-patch JIT (flagged FP class)
@@ -36,7 +37,7 @@ fn cached_and_interpreted_reports_are_byte_identical() {
         }
     }
 
-    for sample in &samples {
+    for sample in samples {
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
         let mut jsons = Vec::new();
         for exec in [ExecMode::Cached, ExecMode::Interpret] {
